@@ -6,6 +6,9 @@ sweeps survivable:
 
 * :mod:`repro.runtime.cache` — a validated on-disk trace cache (checksummed
   v2 binary format, atomic writes, corruption quarantined and regenerated);
+* :mod:`repro.runtime.log` — the one durable JSONL log format (header,
+  fsync'd appends, one committed-record rule for torn tails) behind every
+  journal and stream;
 * :mod:`repro.runtime.checkpoint` — an append-only JSONL journal of
   completed ``(config, benchmark) -> SimulationResult`` records so a killed
   run resumes where it stopped;
@@ -51,10 +54,11 @@ from .chaos import (
 )
 from .checkpoint import CheckpointJournal, config_key
 from .faults import corrupt_file, truncate_file
+from .log import LogAppender, read_log, write_log
 from .parallel import ParallelExecutor
 from .policies import ExecutionPolicy, run_with_policy
 from .scheduler import RunMetrics, Scheduler, WorkUnit
-from .telemetry import PhaseStats, TraceLogWriter, Tracer, read_trace_log
+from .telemetry import PhaseStats, Tracer, read_trace_log
 
 __all__ = [
     "CORE_POINTS",
@@ -65,6 +69,7 @@ __all__ = [
     "FaultInjectedError",
     "FaultSpec",
     "INJECTION_POINTS",
+    "LogAppender",
     "NO_CHAOS",
     "ParallelExecutor",
     "PhaseStats",
@@ -72,7 +77,6 @@ __all__ = [
     "SERVICE_POINTS",
     "Scheduler",
     "TraceCache",
-    "TraceLogWriter",
     "Tracer",
     "WorkUnit",
     "active",
@@ -80,8 +84,10 @@ __all__ = [
     "corrupt_file",
     "fire_once",
     "install",
+    "read_log",
     "read_trace_log",
     "run_with_policy",
     "truncate_file",
     "uninstall",
+    "write_log",
 ]

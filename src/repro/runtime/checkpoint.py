@@ -11,8 +11,10 @@ of the frozen config dataclass (class name + sorted fields), which is
 stable across processes — unlike ``hash()`` — and survives config-class
 field additions as long as defaults are preserved.
 
-A partial final line (the signature of a crash mid-append) is tolerated
-and dropped; corruption anywhere earlier in the journal raises
+The journal is a :mod:`repro.runtime.log` log, so its committed-record
+rule holds: an uncommitted final line (the signature of a crash
+mid-append) is dropped and truncated away on resume; corruption anywhere
+earlier, or a committed record that is not a valid result, raises
 :class:`~repro.errors.CheckpointError`, since silently dropping completed
 work would make a resumed sweep quietly re-run or — worse — skip pairs.
 
@@ -28,19 +30,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 from ..errors import CheckpointError
 from ..sim.engine import SimulationResult
 from .chaos import active as active_chaos
+from .log import LogAppender, LogContents, read_log
 from .telemetry import NULL_TRACER
 
 PathLike = Union[str, Path]
 
-_FORMAT = "repro-checkpoint"
-_VERSION = 1
+_HEADER = {"format": "repro-checkpoint", "version": 1}
 
 
 def config_key(config: object) -> str:
@@ -57,6 +58,33 @@ def config_key(config: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
 
 
+def read_journal(
+    path: PathLike,
+    error: Callable[[str], Exception] = CheckpointError,
+) -> Tuple[LogContents, Dict[Tuple[str, str], dict]]:
+    """Read-only parse of a checkpoint journal.
+
+    Returns the log's committed prefix and its records keyed by
+    ``(config key, benchmark)``; an empty log has no entries.  ``error``
+    builds the exception for a foreign header or a malformed record.
+    """
+    log = read_log(path, error)
+    header = log.header
+    if header is not None and any(header.get(key) != value
+                                  for key, value in _HEADER.items()):
+        raise error(f"{path}: not a checkpoint journal (header {header!r})")
+    entries: Dict[Tuple[str, str], dict] = {}
+    for number, record in enumerate(log.records, start=2):
+        try:
+            result = SimulationResult.from_dict(record["result"])
+            if not 0 <= result.mispredictions <= result.events:
+                raise ValueError("inconsistent result counts")
+            entries[(record["config"], record["benchmark"])] = record
+        except Exception as exc:
+            raise error(f"{path}:{number}: malformed record: {exc}") from exc
+    return log, entries
+
+
 class CheckpointJournal:
     """Append-only JSONL journal of completed simulation results.
 
@@ -69,82 +97,24 @@ class CheckpointJournal:
 
     def __init__(self, path: PathLike, resume: bool = True) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._entries: Dict[Tuple[str, str], SimulationResult] = {}
         self.tracer = NULL_TRACER
         #: ``True`` once an append failed: checkpointing is off for the
         #: rest of the run (results stay memoised in memory only).
         self.disabled = False
         self.dropped_partial = False
-        self._keep_bytes: Optional[int] = None
+        committed = 0
         if resume and self.path.exists():
-            usable = self._load()
-            if usable and self._keep_bytes is not None:
-                # Cut the torn tail off *before* appending, otherwise the
-                # next record would be concatenated onto the partial line
-                # and corrupt the journal for every later resume.
-                with open(self.path, "rb+") as stream:
-                    stream.truncate(self._keep_bytes)
-            mode = "a" if usable else "w"
-        else:
-            mode = "w"
-        self._stream = open(self.path, mode, encoding="utf-8")
-        if self._stream.tell() == 0:
-            self._append({"format": _FORMAT, "version": _VERSION})
-
-    # -- reading ------------------------------------------------------------
-
-    def _load(self) -> bool:
-        """Replay an existing journal; ``False`` means start fresh."""
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        if lines and lines[-1] == b"":
-            lines.pop()
-        if not lines:
-            return False
-
-        def tail_start(line: bytes) -> int:
-            return len(raw) - len(line) - (1 if raw.endswith(b"\n") else 0)
-
-        for index, line in enumerate(lines):
-            last = index == len(lines) - 1
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except ValueError:
-                if last:
-                    # A torn final append from a crashed writer: drop it.
-                    # (If that was the header, the file holds nothing yet.)
-                    self.dropped_partial = True
-                    self._keep_bytes = tail_start(line)
-                    return index > 0
-                raise CheckpointError(
-                    f"{self.path}:{index + 1}: corrupt journal line"
-                ) from None
-            if index == 0:
-                if record.get("format") != _FORMAT:
-                    raise CheckpointError(
-                        f"{self.path}: not a checkpoint journal "
-                        f"(header {record!r})"
-                    )
-                if record.get("version") != _VERSION:
-                    raise CheckpointError(
-                        f"{self.path}: unsupported journal version "
-                        f"{record.get('version')!r}"
-                    )
-                continue
-            try:
-                key = (record["config"], record["benchmark"])
-                result = SimulationResult.from_dict(record["result"])
-            except Exception as exc:
-                if last:
-                    self.dropped_partial = True
-                    self._keep_bytes = tail_start(line)
-                    continue
-                raise CheckpointError(
-                    f"{self.path}:{index + 1}: malformed record: {exc}"
-                ) from exc
-            self._entries[key] = result
-        return True
+            log, records = read_journal(self.path)
+            self._entries = {key: SimulationResult.from_dict(record["result"])
+                             for key, record in records.items()}
+            self.dropped_partial = log.dropped_partial
+            committed = log.committed
+        # The header goes through _append so an unwritable journal
+        # degrades to checkpoint-off right at open.
+        self._log = LogAppender(self.path, committed=committed)
+        if not committed:
+            self._append(_HEADER)
 
     def attach_tracer(self, tracer: object) -> None:
         """Adopt the run's tracer; announces the replayed journal state."""
@@ -191,13 +161,11 @@ class CheckpointJournal:
         try:
             active_chaos().inject("journal.append",
                                   label=str(record.get("benchmark", "")))
-            self._stream.write(json.dumps(record, sort_keys=True) + "\n")
-            self._stream.flush()
-            os.fsync(self._stream.fileno())
+            self._log.append(record)
         except OSError as exc:
             self.disabled = True
             try:
-                self._stream.close()
+                self._log.close()
             except OSError:  # pragma: no cover - double-fault close
                 pass
             self.tracer.event("checkpoint_off", path=str(self.path),
@@ -219,8 +187,7 @@ class CheckpointJournal:
             })
 
     def close(self) -> None:
-        if not self._stream.closed:
-            self._stream.close()
+        self._log.close()
 
     def __enter__(self) -> "CheckpointJournal":
         return self

@@ -11,22 +11,24 @@ one coherent accounting of where the wall clock went.
 
 When a sink is attached (``--trace-log FILE``) every finished span and
 every event additionally becomes one fsync'd JSON line in a structured
-trace log (schema ``repro-trace-log/1``), durable across a SIGKILL like
-the checkpoint journal.  With no sink attached the tracer only keeps
-in-memory aggregates — a span is two clock reads and two dict updates —
-so instrumentation stays cheap enough to leave on permanently.
+trace log (schema ``repro-trace-log/1``), a :mod:`repro.runtime.log`
+log, durable across a SIGKILL like the checkpoint journal.  With no sink
+attached the tracer only keeps in-memory aggregates — a span is two
+clock reads and two dict updates — so instrumentation stays cheap
+enough to leave on permanently.
 
 The clock is injectable so tests can drive span timing deterministically.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
+
+from .log import LogAppender, read_log
 
 PathLike = Union[str, Path]
 
@@ -47,49 +49,6 @@ class PhaseStats:
 
     def to_dict(self) -> dict:
         return {"seconds": round(self.seconds, 6), "count": self.count}
-
-
-class TraceLogWriter:
-    """Append-only JSONL sink for spans and events.
-
-    Line 1 is a header (``{"schema": "repro-trace-log/1"}``); each
-    subsequent line is one record from :meth:`write`.  Every line is
-    flushed and fsync'd, mirroring the checkpoint journal's durability:
-    a SIGKILLed run loses at most the record in flight.
-    """
-
-    def __init__(
-        self,
-        path: PathLike,
-        schema: str = TRACE_LOG_SCHEMA,
-        include_pid: bool = True,
-    ) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._stream = open(self.path, "w", encoding="utf-8")
-        header = {"schema": schema}
-        if include_pid:
-            # Deterministic artifacts (attribution) omit the pid so serial
-            # and parallel runs stay byte-identical.
-            header["pid"] = os.getpid()
-        self.write(header)
-
-    def write(self, record: dict) -> None:
-        if self._stream.closed:  # pragma: no cover - post-close stragglers
-            return
-        self._stream.write(json.dumps(record, sort_keys=True) + "\n")
-        self._stream.flush()
-        os.fsync(self._stream.fileno())
-
-    def close(self) -> None:
-        if not self._stream.closed:
-            self._stream.close()
-
-    def __enter__(self) -> "TraceLogWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class _Span:
@@ -123,9 +82,10 @@ class Tracer:
     """Span/event recorder shared by one run (serial or parallel parent).
 
     Args:
-        sink: a :class:`TraceLogWriter` (or a path to open one at) that
-            receives one JSON line per finished span / event; ``None``
-            (the default) keeps aggregates in memory only.
+        sink: a :class:`~repro.runtime.log.LogAppender` (or a path to
+            open a trace log at) that receives one JSON line per
+            finished span / event; ``None`` (the default) keeps
+            aggregates in memory only.
         metrics: a :class:`~repro.runtime.scheduler.RunMetrics` whose
             per-phase breakdown this tracer feeds (span name = phase).
         clock: monotonic time source (injectable for tests).
@@ -133,12 +93,13 @@ class Tracer:
 
     def __init__(
         self,
-        sink: Optional[Union[TraceLogWriter, PathLike]] = None,
+        sink: Optional[Union[LogAppender, PathLike]] = None,
         metrics: Optional[object] = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        if sink is not None and not isinstance(sink, TraceLogWriter):
-            sink = TraceLogWriter(sink)
+        if sink is not None and not isinstance(sink, LogAppender):
+            sink = LogAppender(sink, {"schema": TRACE_LOG_SCHEMA,
+                                      "pid": os.getpid()})
         self.sink = sink
         self.metrics = metrics
         self.clock = clock
@@ -212,7 +173,7 @@ class Tracer:
 
         try:
             active_chaos().inject("telemetry.write", label=record["name"])
-            self.sink.write(record)
+            self.sink.append(record)
         except OSError:
             sink, self.sink = self.sink, None
             try:
@@ -224,9 +185,10 @@ class Tracer:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Close the sink (aggregates stay readable)."""
+        """Close and detach the sink (aggregates stay readable)."""
         if self.sink is not None:
             self.sink.close()
+            self.sink = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -245,28 +207,16 @@ def read_trace_log(path: PathLike, schema: str = TRACE_LOG_SCHEMA) -> List[dict]
 
     Returns the records after the header.  ``schema`` selects which JSONL
     artifact family is expected (``repro-trace-log/1`` by default; the
-    attribution artifact reuses this reader with its own schema).  Raises
-    ``ValueError`` when the header does not match or an interior line is
-    corrupt (a torn *final* line — the signature of a SIGKILL mid-append —
-    is dropped, matching the checkpoint journal's recovery contract).
+    attribution artifact, ``sheds.jsonl`` and ``metrics-stream.jsonl``
+    reuse this reader with their own schema).  Raises ``ValueError``
+    when the header does not match or a line breaks the committed-record
+    rule of :mod:`repro.runtime.log`.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
+    log = read_log(path)
+    if log.header is None:
         raise ValueError(f"{path}: empty trace log")
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        raise ValueError(f"{path}: unreadable trace-log header") from None
-    if header.get("schema") != schema:
+    if log.header.get("schema") != schema:
         raise ValueError(
-            f"{path}: not a {schema} log (header {header!r})"
+            f"{path}: not a {schema} log (header {log.header!r})"
         )
-    records: List[dict] = []
-    for index, line in enumerate(lines[1:], start=2):
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            if index == len(lines):  # torn final append: drop it
-                break
-            raise ValueError(f"{path}:{index}: corrupt trace-log line") from None
-    return records
+    return log.records

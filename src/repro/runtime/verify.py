@@ -34,7 +34,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 PathLike = Union[str, Path]
 
@@ -197,74 +197,20 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def read_journal(path: PathLike) -> Tuple[Dict[Tuple[str, str], dict], bool]:
-    """Read a checkpoint journal without opening it for writing.
-
-    ``CheckpointJournal`` truncates torn tails and appends a header on
-    open; verification must observe, never mutate, so this is a separate
-    read-only parser with the same tolerance rules (torn *final* line
-    dropped, interior corruption raises ``ValueError``).
-
-    Returns ``((config, benchmark) -> record, dropped_partial)``.
-    """
-    path = Path(path)
-    raw = path.read_bytes()
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    if not lines:
-        raise ValueError(f"{path}: empty journal")
-    entries: Dict[Tuple[str, str], dict] = {}
-    dropped_partial = False
-    for index, line in enumerate(lines):
-        last = index == len(lines) - 1
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except ValueError:
-            if last:
-                dropped_partial = True
-                break
-            raise ValueError(f"{path}:{index + 1}: corrupt journal line")
-        if index == 0:
-            if record.get("format") != "repro-checkpoint" \
-                    or record.get("version") != 1:
-                raise ValueError(f"{path}: bad journal header {record!r}")
-            continue
-        try:
-            key = (record["config"], record["benchmark"])
-            result = record["result"]
-            if int(result["mispredictions"]) < 0 \
-                    or int(result["mispredictions"]) > int(result["events"]):
-                raise ValueError("inconsistent result counts")
-        except ValueError:
-            raise
-        except Exception as exc:
-            if last:
-                dropped_partial = True
-                break
-            raise ValueError(
-                f"{path}:{index + 1}: malformed record: {exc}"
-            ) from exc
-        entries[key] = record
-    return entries, dropped_partial
-
-
 def journal_body(path: PathLike) -> List[str]:
-    """The journal's data lines, sorted — the bit-identity comparison key.
+    """The journal's records as canonical lines, sorted — the
+    bit-identity comparison key.
 
     Journal record *content* is deterministic, but completion *order* is
     not under parallelism; sorting makes serial, parallel, resumed, and
-    serial-fallback runs directly comparable.
+    serial-fallback runs directly comparable.  The journal is
+    format-checked on the way: a torn final line is dropped, any other
+    bad line or record raises ``ValueError`` naming ``path:line``.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    body = []
-    for line in lines[1:]:
-        try:
-            json.loads(line)
-        except ValueError:
-            continue  # torn tail
-        body.append(line)
-    return sorted(body)
+    from .checkpoint import read_journal
+
+    log, _ = read_journal(path, error=ValueError)
+    return sorted(json.dumps(record, sort_keys=True) for record in log.records)
 
 
 def _check_artifact_schema(kind: str, path: Path,
@@ -393,8 +339,12 @@ def _check_artifact_schema(kind: str, path: Path,
                 report.add(f"format:{kind}", True,
                            "empty journal (run degraded to checkpoint_off)")
                 return {}
-            entries, dropped = read_journal(path)
-            note = " (torn tail dropped)" if dropped else ""
+            from .checkpoint import read_journal
+
+            log, entries = read_journal(path, error=ValueError)
+            if log.header is None:
+                raise ValueError(f"{path}: empty journal")
+            note = " (torn tail dropped)" if log.dropped_partial else ""
             report.add(f"format:{kind}", True,
                        f"{len(entries)} journalled result(s){note}")
             return entries
@@ -802,7 +752,11 @@ def _check_against(run_dir: Path, baseline_dir: Path,
     if not mine.exists():
         report.add("against", False, f"journal {mine} missing")
         return
-    my_body, base_body = journal_body(mine), journal_body(theirs)
+    try:
+        my_body, base_body = journal_body(mine), journal_body(theirs)
+    except ValueError as exc:
+        report.add("against", False, f"corrupt journal: {exc}")
+        return
     if report.degradations.get("checkpoint_off"):
         # The journal is legitimately truncated (appends were disabled
         # mid-run): every line it *does* hold must still be bit-identical

@@ -57,9 +57,10 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..runtime import chaos
+from ..runtime.log import LogAppender
 from ..runtime.metrics import LogHistogram, MetricsRegistry, merge_snapshots
 from ..runtime.scheduler import POISONED, Scheduler, WorkUnit
-from ..runtime.telemetry import Tracer, TraceLogWriter
+from ..runtime.telemetry import Tracer
 from ..runtime.verify import write_manifest
 from .protocol import read_frame, shard_for, write_frame
 from .checkpoint import checkpoint_path
@@ -221,7 +222,7 @@ class PredictionServer:
             "server.queue_depth")
         #: shard id -> last published repro-metrics-snapshot/1.
         self._shard_metrics: Dict[int, dict] = {}
-        self._metrics_stream: Optional[TraceLogWriter] = None
+        self._metrics_stream: Optional[LogAppender] = None
         self._stream_task: Optional[asyncio.Task] = None
         self._stream_seq = 0
         self._started_at = time.monotonic()
@@ -232,9 +233,8 @@ class PredictionServer:
         }
         self.sheds_by_reason: Dict[str, int] = {}
         self.degradations: Dict[str, int] = {}
-        self._sheds_log = TraceLogWriter(
-            self.run_dir / "sheds.jsonl", schema=SHEDS_SCHEMA,
-            include_pid=False)
+        self._sheds_log = LogAppender(self.run_dir / "sheds.jsonl",
+                                      {"schema": SHEDS_SCHEMA})
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -247,9 +247,9 @@ class PredictionServer:
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._monitor_task = asyncio.ensure_future(self._monitor())
-        self._metrics_stream = TraceLogWriter(
+        self._metrics_stream = LogAppender(
             self.run_dir / "metrics-stream.jsonl",
-            schema=METRICS_STREAM_SCHEMA, include_pid=False)
+            {"schema": METRICS_STREAM_SCHEMA})
         self._stream_task = asyncio.ensure_future(self._stream_metrics())
         endpoint = {
             "schema": "repro-service-endpoint/1",
@@ -383,7 +383,7 @@ class PredictionServer:
         """Refuse a batch, journalled and answered — never silently."""
         self.counters["shed"] += 1
         self.sheds_by_reason[reason] = self.sheds_by_reason.get(reason, 0) + 1
-        self._sheds_log.write({
+        self._sheds_log.append({
             "kind": "shed", "tenant": tenant, "bid": bid,
             "priority": priority, "reason": reason, "shard": shard.id,
         })
@@ -628,7 +628,7 @@ class PredictionServer:
         self._stream_seq += 1
         try:
             chaos.active().inject("service.metrics_stream", label=kind)
-            self._metrics_stream.write(self._stream_record(kind))
+            self._metrics_stream.append(self._stream_record(kind))
         except OSError:
             stream, self._metrics_stream = self._metrics_stream, None
             try:

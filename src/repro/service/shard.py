@@ -37,7 +37,6 @@ admin frame.
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import signal
@@ -57,7 +56,7 @@ from ..sim.engine import resolve_kernel
 from .checkpoint import (
     build_checkpoint, checkpoint_path, load_checkpoint,
     prev_checkpoint_path, quarantine_checkpoint, read_tenant_stream,
-    restore_predictor, write_payload,
+    restore_predictor, write_checkpoint, write_payload,
 )
 from .state import (
     ShardJournal, TENANTS_SCHEMA, TenantMeta, TenantState, TenantStore,
@@ -506,7 +505,8 @@ class ShardCore:
         return self.metrics.snapshot()
 
     def write_snapshot(self) -> Path:
-        """Atomically write the final per-tenant state snapshot."""
+        """Durably write the final per-tenant state snapshot (temp file,
+        fsync, atomic rename)."""
         target = snapshot_path(self.run_dir, self.shard_id)
         payload = {
             "schema": TENANTS_SCHEMA,
@@ -515,10 +515,7 @@ class ShardCore:
             "journal_disabled": self.journal.disabled,
             "tenants": self.store.snapshot(),
         }
-        scratch = target.with_suffix(".tmp")
-        scratch.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                           + "\n")
-        os.replace(scratch, target)
+        write_checkpoint(target, payload)
         return target
 
     def close(self) -> None:

@@ -35,8 +35,6 @@ stream.  Everything here exploits that.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import re
 import struct
 from array import array
@@ -50,6 +48,7 @@ from ..core.factory import predictor_from_spec
 from ..errors import ServiceError
 from ..runtime.cache import TraceCache
 from ..runtime.chaos import active as active_chaos
+from ..runtime.log import LogAppender, LogContents, read_log, write_log
 from ..runtime.telemetry import NULL_TRACER
 from ..workloads.trace import Trace, TraceMetadata
 
@@ -290,11 +289,10 @@ class TenantState:
 class ShardJournal:
     """Fsync'd JSONL journal of one shard's accepted batches.
 
-    Line 1 is a header naming the schema, shard, and predictor spec;
-    every other line is one accepted batch.  Reopening replays the
-    journal (tolerating a torn final line — the signature of a SIGKILL
-    mid-append) and truncates to the good prefix before appending again,
-    exactly like the checkpoint journal it is modelled on.
+    A :mod:`repro.runtime.log` log: line 1 is a header naming the
+    schema, shard, and predictor spec; every other line is one accepted
+    batch.  Reopening replays the committed records and truncates the
+    uncommitted tail (a SIGKILL mid-append) before appending again.
 
     **Compaction.**  The header also carries ``base``: the number of
     accepted records that preceded this segment and were compacted away
@@ -316,42 +314,34 @@ class ShardJournal:
         self.replayed: List[dict] = []
         #: absolute record count compacted away before this segment.
         self.base = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        good_bytes = 0
-        if self.path.exists() and self.path.stat().st_size:
-            header, self.replayed, good_bytes = _read_journal_bytes(
-                self.path.read_bytes(), str(self.path))
-            if header.get("shard") != shard_id or header.get("spec") != spec:
-                raise ServiceError(
-                    f"{self.path}: journal belongs to shard "
-                    f"{header.get('shard')!r} spec {header.get('spec')!r}, "
-                    f"not shard {shard_id} spec {spec!r}"
-                )
-            self.base = journal_base(header, str(self.path))
-        self._stream = open(self.path, "r+b" if good_bytes else "wb")
-        self._stream.truncate(good_bytes)
-        self._stream.seek(good_bytes)
-        if not good_bytes:
-            self._write_line({
-                "schema": JOURNAL_SCHEMA,
-                "shard": shard_id,
-                "spec": spec,
-                "base": 0,
-            })
+        committed = 0
+        if self.path.exists():
+            log = read_log(self.path, ServiceError)
+            if log.header is not None:
+                header, self.replayed = _validated(log, str(self.path))
+                if header.get("shard") != shard_id \
+                        or header.get("spec") != spec:
+                    raise ServiceError(
+                        f"{self.path}: journal belongs to shard "
+                        f"{header.get('shard')!r} spec "
+                        f"{header.get('spec')!r}, not shard {shard_id} "
+                        f"spec {spec!r}"
+                    )
+                self.base = journal_base(header, str(self.path))
+                committed = log.committed
+        self._log = LogAppender(self.path, self._header(0), committed)
         #: every live record of this segment, in accept order (absolute
         #: record ``base + i``); appends extend it, compaction trims it.
         self.records: List[dict] = list(self.replayed)
+
+    def _header(self, base: int) -> dict:
+        return {"schema": JOURNAL_SCHEMA, "shard": self.shard_id,
+                "spec": self.spec, "base": base}
 
     @property
     def total_records(self) -> int:
         """Absolute accepted-record watermark (compacted + live)."""
         return self.base + len(self.records)
-
-    def _write_line(self, record: dict) -> None:
-        self._stream.write(
-            json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
-        self._stream.flush()
-        os.fsync(self._stream.fileno())
 
     def append(self, tenant: str, bid: int, pcs: Sequence[int],
                targets: Sequence[int]) -> bool:
@@ -373,7 +363,7 @@ class ShardJournal:
         try:
             active_chaos().inject("journal.append",
                                   label=f"service:{tenant}")
-            self._write_line(record)
+            self._log.append(record)
             self.records.append(record)
             return True
         except OSError:
@@ -381,25 +371,23 @@ class ShardJournal:
             return False
 
     def stream_for(self, tenant: str) -> Tuple[List[int], List[int]]:
-        """The tenant's full accepted stream, re-read from this journal.
+        """The tenant's full accepted stream, gathered from this journal.
 
         The cache-miss fallback for reloading an evicted tenant: scans
-        the on-disk journal (safe to read while open for append).  Only
-        valid while ``base`` is 0 — once records have been compacted
-        away, the full stream lives in (checkpoint + tail) and
-        :meth:`repro.service.shard.ShardCore.stream_for` must be used.
+        :attr:`records`, the in-memory copy of every committed record of
+        the segment.  Only valid while ``base`` is 0 — once records have
+        been compacted away, the full stream lives in (checkpoint + tail)
+        and :meth:`repro.service.shard.ShardCore.stream_for` must be used.
         """
         if self.base:
             raise ServiceError(
                 f"{self.path}: {self.base} records compacted away; the "
                 f"journal alone no longer holds full tenant streams"
             )
-        _, records, _ = _read_journal_bytes(
-            self.path.read_bytes(), str(self.path))
         pcs: List[int] = []
         targets: List[int] = []
-        for record in records:
-            if record.get("tenant") == tenant:
+        for record in self.records:
+            if record["tenant"] == tenant:
                 pcs.extend(record["pcs"])
                 targets.extend(record["targets"])
         return pcs, targets
@@ -419,72 +407,34 @@ class ShardJournal:
                 f"cannot compact to base {base}: segment covers "
                 f"[{self.base}, {self.total_records})"
             )
-        keep = self.records[base - self.base:]
-        with open(path, "wb") as sink:
-            header = {
-                "schema": JOURNAL_SCHEMA,
-                "shard": self.shard_id,
-                "spec": self.spec,
-                "base": base,
-            }
-            for record in [header] + keep:
-                sink.write(json.dumps(record, sort_keys=True).encode("utf-8")
-                           + b"\n")
-            sink.flush()
-            os.fsync(sink.fileno())
+        write_log(path, self._header(base), self.records[base - self.base:])
 
     def reopen_compacted(self, base: int) -> None:
         """Adopt the compacted segment now sitting at :attr:`path`."""
-        if not self._stream.closed:
-            self._stream.close()
+        self._log.close()
         self.records = self.records[base - self.base:]
         self.base = base
-        self._stream = open(self.path, "r+b")
-        self._stream.seek(0, os.SEEK_END)
+        self._log = LogAppender(self.path,
+                                committed=self.path.stat().st_size)
 
     def close(self) -> None:
-        if not self._stream.closed:
-            self._stream.close()
+        self._log.close()
 
 
-def _read_journal_bytes(raw: bytes, origin: str) -> Tuple[dict, List[dict], int]:
-    """Parse journal bytes -> (header, accept records, good byte count)."""
-    records: List[dict] = []
-    header: dict = {}
-    good = 0
-    lines = raw.split(b"\n")
-    for index, line in enumerate(lines):
-        if not line:
-            continue
-        last = index >= len(lines) - 2  # final line (file ends with \n)
-        try:
-            record = json.loads(line.decode("utf-8"))
-            if not isinstance(record, dict):
-                raise ValueError("journal line is not an object")
-        except (ValueError, UnicodeDecodeError):
-            if last:
-                break  # torn tail from a SIGKILL mid-append: drop it
-            raise ServiceError(f"{origin}:{index + 1}: corrupt journal line")
-        if index == 0:
-            if record.get("schema") != JOURNAL_SCHEMA:
-                raise ServiceError(
-                    f"{origin}: not a {JOURNAL_SCHEMA} journal "
-                    f"(header {record!r})"
-                )
-            header = record
-        elif record.get("kind") == "accept":
-            records.append(record)
-        else:
-            if not last:
-                raise ServiceError(
-                    f"{origin}:{index + 1}: unknown journal record "
-                    f"{record.get('kind')!r}"
-                )
-            break
-        good += len(line) + 1
-    if not header:
+def _validated(log: LogContents, origin: str) -> Tuple[dict, List[dict]]:
+    """A shard journal's (header, accept records), schema-checked."""
+    header = log.header
+    if header is None:
         raise ServiceError(f"{origin}: empty journal")
-    return header, records, good
+    if header.get("schema") != JOURNAL_SCHEMA:
+        raise ServiceError(
+            f"{origin}: not a {JOURNAL_SCHEMA} journal (header {header!r})")
+    for number, record in enumerate(log.records, start=2):
+        if record.get("kind") != "accept":
+            raise ServiceError(
+                f"{origin}:{number}: unknown journal record "
+                f"{record.get('kind')!r}")
+    return header, log.records
 
 
 def journal_base(header: dict, origin: str) -> int:
@@ -497,9 +447,7 @@ def journal_base(header: dict, origin: str) -> int:
 
 def read_service_journal(path: PathLike) -> Tuple[dict, List[dict]]:
     """Read-only journal parse for verification and offline replay."""
-    header, records, _ = _read_journal_bytes(Path(path).read_bytes(),
-                                             str(path))
-    return header, records
+    return _validated(read_log(path, ServiceError), str(path))
 
 
 # -- bounded residency -------------------------------------------------------

@@ -60,7 +60,8 @@ from ..core.tables import (
 )
 from ..core.twolevel import TwoLevelPredictor
 from ..errors import SimulationError
-from ..runtime.telemetry import PathLike, TraceLogWriter, read_trace_log
+from ..runtime.log import LogAppender
+from ..runtime.telemetry import PathLike, read_trace_log
 from ..workloads.trace import Trace
 
 #: Schema identifier of the attribution artifact (JSONL header line).
@@ -502,12 +503,10 @@ class AttributionCollector:
 
     def write(self, path: PathLike) -> None:
         """Write the ``repro-attribution/1`` artifact (records + summary)."""
-        with TraceLogWriter(
-            path, schema=ATTRIBUTION_SCHEMA, include_pid=False
-        ) as writer:
+        with LogAppender(path, {"schema": ATTRIBUTION_SCHEMA}) as writer:
             for record in self.records():
-                writer.write(record)
-            writer.write(self.summary())
+                writer.append(record)
+            writer.append(self.summary())
 
 
 def read_attribution(path: PathLike) -> List[dict]:

@@ -79,7 +79,7 @@ class SuiteRunner:
                 when ``cache_dir`` is not given.
             progress: emit the executor's live stderr progress line.
             trace_log: path (or open
-                :class:`~repro.runtime.telemetry.TraceLogWriter`) for the
+                :class:`~repro.runtime.log.LogAppender`) for the
                 structured JSONL telemetry log; ``None`` keeps the tracer
                 in-memory only.
             attribution: run every fresh simulation under the instrumented

@@ -13,7 +13,7 @@ what makes the reproduced figures match the paper's in shape.
 
 Trace lengths are scaled: the paper simulates up to six million indirect
 branches per program, which is impractical in pure Python.  Default traces
-are ``~2%`` of the paper's, clamped to [10k, 60k] events, and the
+are ``~2%`` of the paper's, clamped to [30k, 80k] events, and the
 ``REPRO_TRACE_SCALE`` environment variable (or an explicit ``scale``
 argument) multiplies all of them.
 """

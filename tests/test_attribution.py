@@ -230,10 +230,11 @@ class TestArtifact:
                 r["causes"][cause] for r in records[:-1])
 
     def test_wrong_schema_rejected(self, tmp_path):
-        from repro.runtime.telemetry import TraceLogWriter
+        from repro.runtime.log import LogAppender
+        from repro.runtime.telemetry import TRACE_LOG_SCHEMA
 
         path = tmp_path / "not_attribution.jsonl"
-        TraceLogWriter(path).close()  # plain repro-trace-log/1 header
+        LogAppender(path, {"schema": TRACE_LOG_SCHEMA}).close()
         with pytest.raises(ValueError, match=ATTRIBUTION_SCHEMA):
             read_attribution(path)
 

@@ -37,7 +37,8 @@ from repro.runtime.metrics import (
     snapshot_bytes,
     validate_snapshot,
 )
-from repro.runtime.telemetry import TraceLogWriter, read_trace_log
+from repro.runtime.log import LogAppender
+from repro.runtime.telemetry import read_trace_log
 from repro.service.console import render_stats, shard_rows
 from repro.service.state import METRICS_STREAM_SCHEMA
 
@@ -245,10 +246,9 @@ class TestValidation:
 
 class TestStreamArtifact:
     def write_stream(self, path, records):
-        with TraceLogWriter(path, schema=METRICS_STREAM_SCHEMA,
-                            include_pid=False) as writer:
+        with LogAppender(path, {"schema": METRICS_STREAM_SCHEMA}) as writer:
             for record in records:
-                writer.write(record)
+                writer.append(record)
 
     def record(self, seq):
         registry = MetricsRegistry()

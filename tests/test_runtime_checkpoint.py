@@ -111,6 +111,26 @@ class TestCheckpointJournal:
         assert len(third) == 2  # perl survived, ixx was torn, jhm appended
         assert third.get(BTBConfig(), "jhm") is not None
 
+    def test_record_missing_its_newline_is_dropped_then_appended_past(
+            self, tmp_path):
+        """A complete record without its newline is uncommitted: reopen
+        drops and truncates it, so the next append starts a fresh line."""
+        path = tmp_path / "j.jsonl"
+        with CheckpointJournal(path) as journal:
+            journal.record(BTBConfig(), "perl", make_result())
+            keep = path.stat().st_size
+            journal.record(BTBConfig(), "ixx", make_result("ixx"))
+        path.write_bytes(path.read_bytes()[:-1])  # crash before the "\n"
+        with CheckpointJournal(path) as journal:
+            assert journal.dropped_partial
+            assert [key[1] for key, _ in journal] == ["perl"]
+            assert path.stat().st_size == keep
+            journal.record(BTBConfig(), "jhm", make_result("jhm"))
+        third = CheckpointJournal(path)
+        assert not third.dropped_partial
+        assert sorted(key[1] for key, _ in third) == ["jhm", "perl"]
+        third.close()
+
     def test_corrupt_middle_line_raises(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with CheckpointJournal(path) as journal:

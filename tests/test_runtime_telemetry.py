@@ -15,10 +15,10 @@ import pytest
 
 from repro.core.config import BTBConfig, TwoLevelConfig
 from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.log import LogAppender
 from repro.runtime.scheduler import RunMetrics
 from repro.runtime.telemetry import (
     TRACE_LOG_SCHEMA,
-    TraceLogWriter,
     Tracer,
     read_trace_log,
 )
@@ -141,7 +141,8 @@ class TestTraceLog:
             read_trace_log(path)
 
     def test_writer_accepts_open_sink(self, tmp_path):
-        sink = TraceLogWriter(tmp_path / "log.jsonl")
+        sink = LogAppender(tmp_path / "log.jsonl",
+                           {"schema": TRACE_LOG_SCHEMA})
         tracer = Tracer(sink=sink)
         assert tracer.sink is sink
         tracer.close()

@@ -387,14 +387,17 @@ class TestCheckpointedServeEndToEnd:
 @given(
     batches=st.integers(min_value=3, max_value=6),
     compact_after=st.integers(min_value=1, max_value=3),
-    torn_bytes=st.integers(min_value=0, max_value=40),
+    # None: a complete record that lost only its trailing newline.
+    torn_bytes=st.one_of(st.integers(min_value=0, max_value=40),
+                         st.none()),
     corrupt_cur=st.booleans(),
 )
 def test_torn_tail_times_stale_checkpoint_recovers(tmp_path_factory, batches,
                                                    compact_after, torn_bytes,
                                                    corrupt_cur):
     """Property: any torn journal tail interleaved with a stale or
-    corrupt checkpoint recovers to exactly the accepted-record replay."""
+    corrupt checkpoint recovers to exactly the accepted-record replay,
+    and a batch accepted after recovery survives the next reopen."""
     run_dir = tmp_path_factory.mktemp("chaosrun")
     compact_after = min(compact_after, batches - 1)
     core = ShardCore(0, SPEC, run_dir, kernel="event")
@@ -404,17 +407,34 @@ def test_torn_tail_times_stale_checkpoint_recovers(tmp_path_factory, batches,
         if bid == compact_after:
             assert core.compact()["completed"]
     core.close()
-    if torn_bytes:
+    if torn_bytes is None:
+        pcs, targets = batch(batches + 1, events=16)
+        fragment = json.dumps({"kind": "accept", "tenant": "a",
+                               "bid": batches + 1, "pcs": pcs,
+                               "targets": targets}, sort_keys=True).encode()
+    else:
+        fragment = b'{"kind": "accept", "tenant": "a"' [:torn_bytes]
+    if fragment:
         # SIGKILL mid-append: a torn, newline-less fragment at the tail.
         with open(journal_path(run_dir, 0), "ab") as sink:
-            sink.write(b'{"kind": "accept", "tenant": "a"' [:torn_bytes])
+            sink.write(fragment)
     if corrupt_cur:
         corrupt_file(checkpoint_path(run_dir, 0))
     revived = ShardCore(0, SPEC, run_dir, kernel="event")
     live = revived.store.snapshot()
-    revived.close()
     # Oracle: offline replay of exactly what the run directory retains.
     _, replayed = replay_run(run_dir, kernel="event")
     assert set(replayed) == set(live)
     for tenant, meta in live.items():
         assert replayed[tenant]["digest"] == meta["digest"]
+    # The recovered journal must take appends cleanly: one more batch,
+    # then a reopen, and that batch is still there.
+    bid = revived.store.last_bid("a") + 1
+    pcs, targets = batch(bid + 100, events=16)
+    assert revived.handle("a", bid, pcs, targets)["applied"]
+    expected = revived.store.snapshot()
+    revived.close()
+    again = ShardCore(0, SPEC, run_dir, kernel="event")
+    assert again.store.last_bid("a") == bid
+    assert again.store.snapshot() == expected
+    again.close()

@@ -12,6 +12,7 @@ from repro.service.state import (
     valid_tenant,
 )
 from repro.runtime.cache import TraceCache
+from repro.runtime.log import read_log
 from repro.workloads.program import WorkloadConfig, generate_trace
 
 SPEC = "btb:entries=64,assoc=2"
@@ -80,6 +81,28 @@ class TestShardJournal:
         assert len(reopened.replayed) == 1
         reopened.close()
         assert path.stat().st_size == good
+
+    def test_record_missing_its_newline_is_dropped_then_appended_past(
+            self, tmp_path):
+        path = tmp_path / "journal-0.jsonl"
+        journal = ShardJournal(path, 0, SPEC)
+        journal.append("a", 1, *batch(1))
+        keep = path.stat().st_size
+        journal.append("b", 1, *batch(2))
+        journal.close()
+        path.write_bytes(path.read_bytes()[:-1])  # crash before the "\n"
+
+        reopened = ShardJournal(path, 0, SPEC)
+        assert [r["tenant"] for r in reopened.replayed] == ["a"]
+        assert path.stat().st_size == keep
+        reopened.append("c", 1, *batch(3))
+        reopened.close()
+        third = ShardJournal(path, 0, SPEC)
+        assert [r["tenant"] for r in third.replayed] == ["a", "c"]
+        third.close()
+        log = read_log(path)
+        assert not log.dropped_partial
+        assert log.committed == path.stat().st_size
 
     def test_header_mismatch_raises(self, tmp_path):
         path = tmp_path / "journal-0.jsonl"

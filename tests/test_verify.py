@@ -13,10 +13,10 @@ import pytest
 
 from repro.__main__ import main
 from repro.runtime.chaos import ChaosPlan, FaultSpec
+from repro.runtime.checkpoint import read_journal
 from repro.runtime.verify import (
     MANIFEST_SCHEMA,
     journal_body,
-    read_journal,
     verify_run,
     write_manifest,
 )
@@ -63,8 +63,8 @@ class TestManifest:
         path = run_dir / "results.jsonl"
         pristine = path.read_bytes()
         path.write_bytes(pristine + b'{"config": "torn')
-        entries, dropped = read_journal(path)
-        assert dropped
+        log, entries = read_journal(path, error=ValueError)
+        assert log.dropped_partial
         assert len(entries) == 1
         assert path.read_bytes() != pristine  # read-only: not repaired
 
@@ -121,6 +121,19 @@ class TestVerifyCommand:
         _, other = simulate_run(tmp_path, "other", spec="btb:entries=64")
         assert run_cli("verify", str(one), "--against", str(other)) == 4
         assert "determinism violation" in capsys.readouterr().out
+
+    def test_against_reports_corrupt_baseline_line(self, tmp_path):
+        _, run_dir = simulate_run(tmp_path, "run", benchmarks=("perl", "ixx"))
+        _, baseline = simulate_run(tmp_path, "base",
+                                   benchmarks=("perl", "ixx"))
+        path = baseline / "results.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:20]  # interior line cut short, not a tail
+        path.write_text("\n".join(lines) + "\n")
+        report = verify_run(run_dir, against=baseline)
+        (finding,) = [f for f in report.failures if f.check == "against"]
+        assert f"{path}:2:" in finding.detail
+        assert "determinism violation" not in finding.detail
 
 
 class TestAttributionCrossCheck:

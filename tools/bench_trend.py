@@ -36,6 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.runtime.log import LogAppender, read_log  # noqa: E402
 from repro.sim.reporting import format_table  # noqa: E402
 
 TREND_SCHEMA = "repro-bench-trend/1"
@@ -107,36 +108,24 @@ def direction_of(metric: str) -> str:
 
 
 def read_history(path: Path) -> list:
-    """Run records from a trend history; tolerates a torn final line."""
+    """Run records from a trend history (a ``repro.runtime.log`` log)."""
     if not path.exists():
         return []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        return []
-    header = json.loads(lines[0])
-    if header.get("schema") != TREND_SCHEMA:
+    try:
+        log = read_log(path)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    if log.header is not None and log.header.get("schema") != TREND_SCHEMA:
         raise SystemExit(f"error: {path} is not a {TREND_SCHEMA} history "
-                         f"(header {header!r})")
-    records = []
-    for index, line in enumerate(lines[1:], start=2):
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            if index == len(lines):  # torn final append: drop it
-                break
-            raise SystemExit(f"error: {path}:{index}: corrupt history line")
-    return records
+                         f"(header {log.header!r})")
+    return log.records
 
 
 def append_record(path: Path, record: dict) -> None:
     """Append one run record, writing the schema header on first use."""
-    fresh = not path.exists() or path.stat().st_size == 0
-    with open(path, "a", encoding="utf-8") as stream:
-        if fresh:
-            stream.write(json.dumps({"schema": TREND_SCHEMA}) + "\n")
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
-        stream.flush()
-        os.fsync(stream.fileno())
+    committed = read_log(path).committed if path.exists() else 0
+    with LogAppender(path, {"schema": TREND_SCHEMA}, committed) as log:
+        log.append(record)
 
 
 def delta_rows(baseline: dict, current: dict, budget_pct: float):
